@@ -117,8 +117,7 @@ Advisor::AdviseAllMixes(const Workload& workload,
   for (const std::string& mix : mixes) {
     const auto entries = workload.EntriesIn(mix);
     if (entries.empty()) {
-      return Status::InvalidArgument("workload has no statements in mix " +
-                                     mix);
+      return Status::NotFound("workload has no mix '" + mix + "'");
     }
     std::string signature;
     for (const auto& [entry, weight] : entries) {
@@ -192,8 +191,7 @@ StatusOr<HorizonPlan> Advisor::PlanHorizon(
     for (const HorizonWindow& win : horizon.windows) {
       if (!seen_mixes.insert(win.mix).second) continue;
       if (workload.EntriesIn(win.mix).empty()) {
-        return Status::InvalidArgument("workload has no statements in mix " +
-                                       win.mix);
+        return Status::NotFound("workload has no mix '" + win.mix + "'");
       }
       plan.pool.MergeFrom(
           enumerator.EnumerateWorkload(workload, win.mix, pool_threads.get()));

@@ -96,13 +96,15 @@ StatusOr<WindowFormulation> BuildWindowFormulation(
     const CardinalityEstimator* est, util::ThreadPool* threads,
     PlanSpaceCache* cache) {
   WindowFormulation form;
+  // The mix first: an unknown mix also enumerates an empty pool, and the
+  // caller should hear about the mix.
+  const auto entries = workload.EntriesIn(mix);
+  if (entries.empty()) {
+    return Status::NotFound("workload has no mix '" + mix + "'");
+  }
   const std::vector<ColumnFamily>& candidates = pool.candidates();
   if (candidates.empty()) {
     return Status::InvalidArgument("candidate pool is empty");
-  }
-  const auto entries = workload.EntriesIn(mix);
-  if (entries.empty()) {
-    return Status::InvalidArgument("workload has no statements in mix " + mix);
   }
 
   // Per-statement work — building a query's plan space, costing a

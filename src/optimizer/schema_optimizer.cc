@@ -48,6 +48,28 @@ double SolveBudgetSeconds(const OptimizerOptions& options,
   return limit;
 }
 
+/// Paper §V tie-break: among the schemas whose workload cost stays within
+/// `budget`, prefer fewer column families. Tries each selected candidate in
+/// candidate order and drops it when the remaining selection still routes
+/// every query and support flow (WindowObjective is finite) at a cost
+/// within `budget`. Every accepted drop keeps the selection within budget,
+/// so stopping once `stage_watch` passes `time_limit_seconds` (0 = none) is
+/// safe.
+void DropRedundantCandidates(const WindowFormulation& form, double budget,
+                             double time_limit_seconds,
+                             const Stopwatch& stage_watch,
+                             std::vector<bool>* selected) {
+  for (size_t c = 0; c < selected->size(); ++c) {
+    if (!(*selected)[c]) continue;
+    if (time_limit_seconds > 0.0 &&
+        stage_watch.ElapsedSeconds() > time_limit_seconds) {
+      return;
+    }
+    (*selected)[c] = false;
+    if (!(WindowObjective(form, *selected) <= budget)) (*selected)[c] = true;
+  }
+}
+
 }  // namespace
 
 StatusOr<OptimizationResult> SchemaOptimizer::Optimize(
@@ -168,13 +190,13 @@ StatusOr<OptimizationResult> SchemaOptimizer::Optimize(
     // its best plan — feasible unless a storage budget is active. Gives
     // branch and bound an incumbent immediately (anytime behavior).
     std::vector<double> warm;
-    BipOptions first_options = options_.bip;
-    first_options.threads = threads;
+    BipOptions solve_options = options_.bip;
+    solve_options.threads = threads;
     if (!options_.space_limit_bytes.has_value()) {
       warm.assign(static_cast<size_t>(lp.num_variables()), 0.0);
       if (RouteWindowPoint(form, delta_vars, form.allowed,
                            /*all_supports=*/true, &warm)) {
-        first_options.warm_start = &warm;
+        solve_options.warm_start = &warm;
       }
     }
     // Shared-pool advising: the previous mix's root basis is reusable here
@@ -199,11 +221,11 @@ StatusOr<OptimizationResult> SchemaOptimizer::Optimize(
       // the cold per-mix solve returns — breaking the byte-equality
       // contract between AdviseAllMixes and Recommend.
       if (!cache->last_root_basis.empty()) {
-        first_options.root_basis = &cache->last_root_basis;
+        solve_options.root_basis = &cache->last_root_basis;
       }
     }
     if (cache != nullptr) {
-      first_options.capture_root_basis = &captured_root_basis;
+      solve_options.capture_root_basis = &captured_root_basis;
     }
 
     if (options_.capture_bip != nullptr) {
@@ -211,11 +233,10 @@ StatusOr<OptimizationResult> SchemaOptimizer::Optimize(
       options_.capture_bip->binary_vars = binaries;
       options_.capture_bip->captured = true;
     }
-    // Certify the FIRST (cost-minimizing) solve only: the schema-size stage
-    // re-solves a different instance (extra budget row, count objective)
-    // whose optimum says nothing about workload cost.
+    // The certificate covers the cost solve; the schema-size pass below
+    // only drops candidates within the certified cost budget.
     if (options_.capture_certificate != nullptr) {
-      first_options.capture_certificate = options_.capture_certificate;
+      solve_options.capture_certificate = options_.capture_certificate;
     }
 
     result.bip_variables = lp.num_variables();
@@ -236,27 +257,35 @@ StatusOr<OptimizationResult> SchemaOptimizer::Optimize(
     }
     result.timing.bip_construction_seconds = phase->StopSeconds();
 
-    // ==== BIP solving (two-stage, paper §V). ====
+    // ==== BIP solving, then the schema-size pass (paper §V). ====
     phase.emplace("optimizer.bip_solve", "optimizer");
-    first_options.time_limit_seconds = SolveBudgetSeconds(options_, total_watch);
-    BipResult first = SolveBip(lp, binaries, first_options);
-    if (first.status == BipStatus::kInfeasible) {
+    // One budget for the whole stage: the cost solve and the pass share it.
+    const double stage_limit = SolveBudgetSeconds(options_, total_watch);
+    Stopwatch stage_watch;
+    solve_options.time_limit_seconds = stage_limit;
+    BipResult solved = SolveBip(lp, binaries, solve_options);
+    if (solved.status == BipStatus::kInfeasible) {
       return Status::Infeasible(
           "schema BIP has no feasible solution (space limit too tight?)");
     }
-    if (first.status == BipStatus::kNoSolution) {
+    if (solved.status == BipStatus::kNoSolution) {
       return Status::ResourceExhausted(
           "BIP solve hit its node/time budget before finding any feasible "
           "schema; raise OptimizerOptions::bip limits");
     }
-    result.bb_nodes = first.nodes_explored;
-    result.objective = first.objective;
-    result.solve_proven = first.status == BipStatus::kOptimal;
-    // The anytime gap refers to the COST solve; the schema-size second
-    // stage below holds the cost fixed, so it cannot change the bound.
-    result.best_bound = first.best_bound;
+    result.bb_nodes = solved.nodes_explored;
+    result.objective = solved.objective;
+    result.solve_proven = solved.status == BipStatus::kOptimal;
+    // The anytime gap refers to the COST solve; the schema-size pass below
+    // holds the cost within budget, so it cannot change the bound.
+    result.best_bound = solved.best_bound;
     result.anytime_gap = AnytimeGap(result.objective, result.best_bound,
                                     result.solve_proven);
+
+    for (size_t c = 0; c < candidates.size(); ++c) {
+      selected[c] =
+          solved.x[static_cast<size_t>(delta_vars[c])] > 0.5 && form.allowed[c];
+    }
 
     // Replace the certificate's solution with an exactly-integral point:
     // deltas snapped from the solve, each support indicator the OR of its
@@ -267,13 +296,7 @@ StatusOr<OptimizationResult> SchemaOptimizer::Optimize(
     if (options_.capture_certificate != nullptr) {
       SolveCertificate& cert = *options_.capture_certificate;
       std::vector<double> xhat(static_cast<size_t>(lp.num_variables()), 0.0);
-      std::vector<bool> cert_selected(candidates.size(), false);
-      for (size_t c = 0; c < candidates.size(); ++c) {
-        cert_selected[c] =
-            first.x[static_cast<size_t>(delta_vars[c])] > 0.5 &&
-            form.allowed[c];
-      }
-      if (RouteWindowPoint(form, delta_vars, cert_selected,
+      if (RouteWindowPoint(form, delta_vars, selected,
                            /*all_supports=*/false, &xhat)) {
         cert.x = std::move(xhat);
         double obj = 0.0;
@@ -284,57 +307,19 @@ StatusOr<OptimizationResult> SchemaOptimizer::Optimize(
       }
     }
 
-    BipResult chosen = std::move(first);
     if (options_.minimize_schema_size) {
-      // Pin the workload cost to the optimum, then minimize the number of
-      // selected column families. Proving optimality of a count objective
-      // is hopeless for plain branch and bound, so budget this phase; the
-      // unused-candidate prune below removes any slack it leaves.
-      std::vector<std::pair<int, double>> cost_row;
-      for (int v = 0; v < lp.num_variables(); ++v) {
-        const double c = lp.cost(v);
-        if (c != 0.0) cost_row.emplace_back(v, c);
-      }
       const double budget =
-          chosen.objective + 1e-6 * std::max(1.0, std::abs(chosen.objective));
-      LpProblem second_lp = lp;
-      second_lp.AddRow(RowType::kLe, budget, std::move(cost_row));
-      for (int v = 0; v < second_lp.num_variables(); ++v) {
-        second_lp.SetCost(v, 0.0);
-      }
-      for (int dv : delta_vars) second_lp.SetCost(dv, 1.0);
-      // The phase-1 solution is feasible here (its cost equals the
-      // budget); use it as the incumbent, and exploit the integral
-      // objective (a count) for near-unit gap pruning.
-      BipOptions second_options = options_.bip;
-      second_options.threads = threads;
-      second_options.warm_start = &chosen.x;
-      second_options.absolute_gap = 1.0 - 1e-6;
-      second_options.max_nodes = std::min(options_.bip.max_nodes, 500);
-      // Under a deadline this stage gets only the time the cost solve
-      // left; its warm start keeps the minimum-cost schema either way.
-      second_options.time_limit_seconds =
-          SolveBudgetSeconds(options_, total_watch);
-      BipResult second = SolveBip(second_lp, binaries, second_options);
-      if (second.status == BipStatus::kOptimal ||
-          second.status == BipStatus::kNodeLimit) {
-        result.bb_nodes += second.nodes_explored;
-        chosen = std::move(second);
-      }
+          solved.objective + 1e-6 * std::max(1.0, std::abs(solved.objective));
+      DropRedundantCandidates(form, budget, stage_limit, stage_watch,
+                              &selected);
     }
     result.timing.bip_solve_seconds = phase->StopSeconds();
 
-    for (size_t c = 0; c < candidates.size(); ++c) {
-      selected[c] = chosen.x[static_cast<size_t>(delta_vars[c])] > 0.5;
-    }
     if (cache != nullptr) {
-      cache->last_bip_solution = chosen.x;
+      cache->last_bip_solution = std::move(solved.x);
       cache->last_bip_variables = lp.num_variables();
       cache->last_bip_rows = lp.num_rows();
       cache->last_bip_nonzeros = lp.num_nonzeros();
-      // Captured from the FIRST solve's root: the second (schema-size)
-      // stage appends a budget row, so its bases live in a different
-      // geometry and are never exchanged with this cache.
       cache->last_root_basis = std::move(captured_root_basis);
     }
   }
@@ -343,6 +328,15 @@ StatusOr<OptimizationResult> SchemaOptimizer::Optimize(
   obs::Span extraction_span("optimizer.extraction", "optimizer");
   NOSE_RETURN_IF_ERROR(ExtractWindowPlans(form, workload, mix, pool, *est_,
                                           /*prune=*/true, &selected, &result));
+  // A budget-stopped solve reports its incumbent's cost, which the
+  // schema-size pass and the prune may have undercut: report what the
+  // returned plans cost. A proven solve keeps the solver's objective.
+  if (!result.solve_proven) {
+    result.objective =
+        std::min(result.objective, WindowObjective(form, selected));
+    result.anytime_gap = AnytimeGap(result.objective, result.best_bound,
+                                    result.solve_proven);
+  }
   // Clamped at the source: when a shared cache satisfies whole phases the
   // recorded phase stopwatches can exceed the (tiny) total, and the
   // residual would otherwise go negative here rather than in the advisor.

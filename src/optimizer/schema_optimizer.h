@@ -49,8 +49,10 @@ struct OptimizerOptions {
   /// Optional storage budget in bytes (paper: "an optional space
   /// constraint").
   std::optional<double> space_limit_bytes;
-  /// Run the second solve that, among all minimum-cost schemas, picks the
-  /// one with the fewest column families (paper §V).
+  /// Break cost ties toward fewer column families (paper §V): after the
+  /// BIP cost solve, a greedy pass drops each selected candidate, in
+  /// candidate order, whose removal keeps the workload cost within 1e-6
+  /// (relative) of the optimum. BIP strategy only.
   bool minimize_schema_size = true;
   SolveStrategy strategy = SolveStrategy::kAuto;
   size_t auto_bip_threshold = 120;
@@ -68,7 +70,7 @@ struct OptimizerOptions {
   /// assembled problem before solving.
   BipCapture* capture_bip = nullptr;
   /// When non-null and the BIP strategy runs, receives a machine-checkable
-  /// certificate of the FIRST (cost-minimizing) solve — see
+  /// certificate of the cost solve (before the schema-size pass) — see
   /// solver/certificate.h. The certified solution is re-derived as an
   /// exactly-integral point (binaries snapped, support indicators implied,
   /// flows re-routed along best paths over the selected candidates), so the

@@ -1,6 +1,9 @@
 #include <gtest/gtest.h>
 
 #include "advisor/advisor.h"
+#include "randwl/random_workload.h"
+#include "rubis/model.h"
+#include "rubis/workload.h"
 #include "tests/hotel_fixture.h"
 
 namespace nose {
@@ -38,7 +41,7 @@ TEST(AdvisorTest, Fig3QueryGetsMaterializedView) {
   auto rec = advisor.Recommend(workload);
   ASSERT_TRUE(rec.ok()) << rec.status();
   // Read-only workload: a single materialized view answers the query in one
-  // get, and the second solve phase shrinks the schema to just that.
+  // get, and the schema-size pass shrinks the schema to just that.
   EXPECT_EQ(rec->schema.size(), 1u);
   ASSERT_EQ(rec->query_plans.size(), 1u);
   EXPECT_EQ(rec->query_plans[0].second.steps.size(), 1u);
@@ -188,6 +191,54 @@ TEST(AdvisorTest, SecondPhaseMinimizesSchemaSize) {
   EXPECT_LE(rec_min->schema.size(), rec_plain->schema.size());
   EXPECT_NEAR(rec_min->objective, rec_plain->objective,
               1e-5 * std::max(1.0, rec_plain->objective));
+
+  // A random workload whose cost optimum carries a column family that a
+  // same-cost alternative makes redundant: the cost solve plus the unused-CF
+  // prune keeps 8 column families, the schema-size pass drops one.
+  randwl::GeneratorOptions gen;
+  gen.num_entities = 4;
+  gen.num_statements = 6;
+  gen.seed = 35;
+  auto rw = randwl::Generate(gen);
+  ASSERT_TRUE(rw.ok()) << rw.status();
+  no_min.optimizer.strategy = SolveStrategy::kBip;
+  AdvisorOptions with_min;
+  with_min.optimizer.strategy = SolveStrategy::kBip;
+  auto random_plain = Advisor(Verified(no_min)).Recommend(*rw->workload);
+  auto random_min = Advisor(Verified(with_min)).Recommend(*rw->workload);
+  ASSERT_TRUE(random_plain.ok()) << random_plain.status();
+  ASSERT_TRUE(random_min.ok()) << random_min.status();
+  EXPECT_LT(random_min->schema.size(), random_plain->schema.size());
+  // The pass never changes the reported (cost-solve) objective.
+  EXPECT_EQ(random_min->objective, random_plain->objective);
+}
+
+TEST(AdvisorTest, UnknownMixIsNotFound) {
+  auto graph = rubis::MakeGraph();
+  ASSERT_TRUE(graph.ok()) << graph.status();
+  auto workload = rubis::MakeWorkload(**graph);
+  ASSERT_TRUE(workload.ok()) << workload.status();
+  Advisor advisor(Verified());
+  auto expect_not_found = [](const Status& status, const std::string& mix) {
+    EXPECT_EQ(status.code(), StatusCode::kNotFound) << status;
+    EXPECT_NE(status.message().find("'" + mix + "'"), std::string::npos)
+        << status;
+  };
+  // Near misses of RUBiS's real mix names (write10x, default).
+  for (const char* mix : {"10x", "bidding"}) {
+    expect_not_found(advisor.Recommend(**workload, mix).status(), mix);
+    expect_not_found(advisor.Recommend(**workload, mix, 10.0).status(), mix);
+    expect_not_found(
+        advisor.RecommendWithPool(**workload, mix, CandidatePool(), nullptr)
+            .status(),
+        mix);
+    expect_not_found(
+        advisor.AdviseAllMixes(**workload, {rubis::kBrowsingMix, mix}).status(),
+        mix);
+    WorkloadHorizon horizon;
+    horizon.windows = {{"w0", rubis::kBrowsingMix, 1.0}, {"w1", mix, 1.0}};
+    expect_not_found(advisor.PlanHorizon(**workload, horizon).status(), mix);
+  }
 }
 
 TEST(AdvisorTest, AdviseAllMixesSharesAcrossSubsetGroups) {

@@ -3,8 +3,12 @@
 #include <gtest/gtest.h>
 
 #include "advisor/advisor.h"
+#include "analysis/invariants.h"
 #include "randwl/random_workload.h"
+#include "rubis/model.h"
+#include "rubis/workload.h"
 #include "tests/hotel_fixture.h"
+#include "util/stopwatch.h"
 
 namespace nose {
 namespace {
@@ -133,6 +137,53 @@ TEST(OptimizerStrategyTest, SpaceLimitForcesBip) {
   auto rec = advisor.Recommend(*workload);
   ASSERT_TRUE(rec.ok()) << rec.status();
   EXPECT_GT(rec->bip_variables, 0);  // BIP path was taken
+}
+
+/// bip.time_limit_seconds bounds the whole solve stage — the cost solve
+/// plus the schema-size pass — not each of several solves.
+TEST(OptimizerBudgetTest, TimeLimitBoundsTheWholeSolveStage) {
+  auto graph = rubis::MakeGraph();
+  ASSERT_TRUE(graph.ok()) << graph.status();
+  auto workload = rubis::MakeWorkload(**graph);
+  ASSERT_TRUE(workload.ok()) << workload.status();
+  AdvisorOptions opts;
+  opts.num_threads = 1;
+  opts.verify_invariants = false;  // audited explicitly below
+  opts.optimizer.strategy = SolveStrategy::kBip;
+
+  // One LP's time, measured on this build: presolve plus the root
+  // relaxation of the write100x BIP. A budget stop lets the in-flight LP
+  // finish, so the stage may overrun the limit by about this much.
+  AdvisorOptions probe = opts;
+  probe.optimizer.bip.max_nodes = 1;
+  BipCapture capture;
+  probe.optimizer.capture_bip = &capture;
+  ASSERT_TRUE(Advisor(probe).Recommend(**workload, rubis::kWrite100xMix).ok());
+  ASSERT_TRUE(capture.captured);
+  BipOptions root_only;
+  root_only.max_nodes = 1;
+  Stopwatch lp_watch;
+  SolveBip(capture.lp, capture.binary_vars, root_only);
+  const double one_lp = lp_watch.ElapsedSeconds();
+
+  // Ten LPs of budget: far below the unbudgeted solve, so the limit binds.
+  const double limit = std::max(0.05, 10.0 * one_lp);
+  opts.optimizer.bip.time_limit_seconds = limit;
+  auto rec = Advisor(opts).Recommend(**workload, rubis::kWrite100xMix);
+  ASSERT_TRUE(rec.ok()) << rec.status();
+  EXPECT_FALSE(rec->solve_proven);
+  EXPECT_GT(rec->anytime_gap, 0.0);
+  // Slack of half the limit plus one LP absorbs scheduling noise on a busy
+  // host, yet stays below the 2x limit that one full-limit solve per stage
+  // (cost, then schema size) took.
+  EXPECT_LE(rec->timing.bip_solve_seconds, 1.5 * limit + one_lp)
+      << "limit " << limit << "s, one LP " << one_lp << "s";
+  // A budget-stopped solve still reports what its returned plans cost
+  // (NOSE-I006), not the cost of the incumbent it stopped with.
+  RecommendationView view{&rec->schema, &rec->query_plans, &rec->update_plans,
+                          rec->objective, rec->solve_proven};
+  EXPECT_TRUE(
+      VerifyRecommendation(**workload, rubis::kWrite100xMix, view).ok());
 }
 
 TEST(OptimizerCacheTest, StructuralChangeDiscardsWarmStart) {

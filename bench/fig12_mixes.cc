@@ -1,17 +1,12 @@
 // Reproduces Fig. 12: weighted average response time across workload
 // mixes — Browsing (read-only), Bidding, and the bidding mix with write
 // transactions scaled 10x and 100x — for the NoSE / Normalized / Expert
-// schemas. NoSE advises every mix in one shared-pool pass
-// (Advisor::AdviseAllMixes): the three bidding-derived mixes weight the
-// same statement set, so candidate enumeration and plan spaces run once
-// and only the BIP re-solves per mix. The baselines are fixed.
+// schemas. NoSE advises each mix on its own (Advisor::Recommend); the
+// baselines are fixed.
 //
-//   fig12_mixes [--compare] [--json FILE]
+//   fig12_mixes [--json FILE]
 //
-// --compare additionally re-advises each mix with the per-mix path
-// (Advisor::Recommend), checks the recommendations are identical, and
-// reports both advising wall times; --json appends nose-bench-v1 records
-// (one "advising" record plus one per mix) to FILE.
+// --json appends one nose-bench-v1 record per mix to FILE.
 //
 // Environment: NOSE_RUBIS_SCALE (default 0.25), NOSE_FIG12_TRANSACTIONS
 // (default 1500 sampled transactions per mix).
@@ -39,15 +34,12 @@ double TxWeight(const rubis::Transaction& tx, const std::string& mix) {
 }
 
 int Main(int argc, char** argv) {
-  bool compare = false;
   std::string json_path;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--compare") == 0) {
-      compare = true;
-    } else if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
+    if (std::strcmp(argv[i], "--json") == 0 && i + 1 < argc) {
       json_path = argv[++i];
     } else {
-      std::fprintf(stderr, "usage: fig12_mixes [--compare] [--json FILE]\n");
+      std::fprintf(stderr, "usage: fig12_mixes [--json FILE]\n");
       return 2;
     }
   }
@@ -71,47 +63,7 @@ int Main(int argc, char** argv) {
       {"100x", rubis::kWrite100xMix},
   };
 
-  // One shared-pool advising pass covers every mix: the bidding-derived
-  // mixes reuse one candidate pool and one set of plan spaces.
-  std::vector<std::string> mix_names;
-  for (const auto& [label, mix] : mixes) mix_names.push_back(mix);
-  const double shared_seconds = bench.PrepareNoseRecommendations(mix_names);
-  std::printf("NoSE advising (shared pool, %zu mixes): %.2fs\n", mixes.size(),
-              shared_seconds);
-
-  double per_mix_seconds = 0.0;
-  if (compare) {
-    // Baseline: advise each mix independently, and insist the shared-pool
-    // recommendations are the ones the per-mix path produces.
-    Advisor advisor;
-    Stopwatch watch;
-    std::vector<Recommendation> baseline;
-    for (const auto& [label, mix] : mixes) {
-      auto rec = advisor.Recommend(bench.workload(), mix);
-      if (!rec.ok()) RubisBench::Die("advisor/" + mix, rec.status());
-      baseline.push_back(std::move(rec).value());
-    }
-    per_mix_seconds = watch.ElapsedSeconds();
-    std::printf("NoSE advising (per-mix baseline):       %.2fs (%.2fx)\n",
-                per_mix_seconds, per_mix_seconds / shared_seconds);
-    for (size_t k = 0; k < mixes.size(); ++k) {
-      const Recommendation* shared = bench.StagedNoseRecommendation(mixes[k].second);
-      if (shared == nullptr ||
-          shared->ToString() != baseline[k].ToString() ||
-          shared->objective != baseline[k].objective) {
-        std::fprintf(stderr,
-                     "error: shared-pool recommendation for mix %s differs "
-                     "from the per-mix path\n",
-                     mixes[k].second.c_str());
-        return 1;
-      }
-      std::printf("  %-10s bb nodes: shared %d, per-mix %d\n",
-                  mixes[k].first.c_str(), shared->bb_nodes,
-                  baseline[k].bb_nodes);
-    }
-    std::printf("per-mix and shared-pool recommendations are identical\n");
-  }
-  std::printf("\n%-10s %12s %12s %12s   (avg simulated ms/transaction)\n",
+  std::printf("%-10s %12s %12s %12s   (avg simulated ms/transaction)\n",
               "Mix", "NoSE", "Normalized", "Expert");
 
   for (const auto& [label, mix] : mixes) {
@@ -157,16 +109,6 @@ int Main(int argc, char** argv) {
       "\npaper shape check: NoSE wins Browsing/Bidding/10x; under 100x the "
       "Expert schema closes in (it shares support work NoSE re-fetches).\n");
 
-  {
-    auto record = json.Instance("advising");
-    record.Metric("mixes", static_cast<double>(mixes.size()))
-        .Metric("shared_pool_advise_seconds", shared_seconds);
-    if (compare) {
-      record.Metric("per_mix_advise_seconds", per_mix_seconds)
-          .Metric("speedup", per_mix_seconds / shared_seconds);
-    }
-    record.Label("compare", compare);
-  }
   json.Close();
   return 0;
 }

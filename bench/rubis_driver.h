@@ -16,7 +16,6 @@
 #include "rubis/model.h"
 #include "rubis/workload.h"
 #include "schemas/normalized.h"
-#include "util/stopwatch.h"
 
 namespace nose::bench {
 
@@ -72,44 +71,15 @@ class RubisBench {
   const Workload& workload() const { return *workload_; }
   const Dataset& data() const { return *data_; }
 
-  /// Advises all `mixes` in one shared-pool pass (Advisor::AdviseAllMixes):
-  /// mixes weighting the same statement set reuse one candidate pool and
-  /// one set of plan spaces instead of re-enumerating per mix. The
-  /// recommendations are stashed for MakeNose to consume. Returns the wall
-  /// seconds the pass took (the Fig. 12 shared-pool headline number).
-  double PrepareNoseRecommendations(const std::vector<std::string>& mixes) {
-    Stopwatch watch;
-    Advisor advisor;
-    auto recs = advisor.AdviseAllMixes(*workload_, mixes);
-    if (!recs.ok()) Die("advisor/all-mixes", recs.status());
-    for (auto& [mix, rec] : *recs) {
-      nose_recs_[mix] = std::make_unique<Recommendation>(std::move(rec));
-    }
-    return watch.ElapsedSeconds();
-  }
-
-  /// The recommendation staged for `mix`, or nullptr if none is staged
-  /// (never staged, or already consumed by MakeNose).
-  const Recommendation* StagedNoseRecommendation(const std::string& mix) const {
-    auto it = nose_recs_.find(mix);
-    return it == nose_recs_.end() ? nullptr : it->second.get();
-  }
-
-  /// NoSE-recommended schema for `mix`, loaded and ready to execute. Uses
-  /// the recommendation stashed by PrepareNoseRecommendations when one
-  /// exists; otherwise advises this mix alone.
+  /// NoSE-recommended schema for `mix` (advised for this mix alone),
+  /// loaded and ready to execute.
   std::unique_ptr<SchemaUnderTest> MakeNose(const std::string& mix) {
     auto out = std::make_unique<SchemaUnderTest>();
     out->label = "NoSE";
-    if (auto it = nose_recs_.find(mix); it != nose_recs_.end()) {
-      out->rec = std::move(it->second);
-      nose_recs_.erase(it);
-    } else {
-      Advisor advisor;
-      auto rec = advisor.Recommend(*workload_, mix);
-      if (!rec.ok()) Die("advisor", rec.status());
-      out->rec = std::make_unique<Recommendation>(std::move(rec).value());
-    }
+    Advisor advisor;
+    auto rec = advisor.Recommend(*workload_, mix);
+    if (!rec.ok()) Die("advisor", rec.status());
+    out->rec = std::make_unique<Recommendation>(std::move(rec).value());
     out->schema = out->rec->schema;
     for (const auto& [name, plan] : out->rec->query_plans) {
       out->query_plans.emplace(name, plan);
@@ -203,8 +173,6 @@ class RubisBench {
   std::unique_ptr<EntityGraph> graph_;
   std::unique_ptr<Dataset> data_;
   std::unique_ptr<Workload> workload_;
-  /// Recommendations staged by PrepareNoseRecommendations, keyed by mix.
-  std::map<std::string, std::unique_ptr<Recommendation>> nose_recs_;
 };
 
 }  // namespace nose::bench

@@ -8,13 +8,18 @@
 //
 // Comparison mode: replays synthetic cover instances and the real
 // RUBiS-derived BIPs (captured from the schema optimizer via
-// OptimizerOptions::capture_bip) against all three simplex engines
-// (factorized, sparse tableau, dense tableau), appending one JSON object
-// per instance to FILE (bench_results/ convention): rows, nnz, per-engine
-// solve time and objective, end-of-solve fill, and speedups. Exits
-// non-zero if any optimum diverges across the engine matrix, if presolve
-// changes a BIP answer, or if a thread-pooled branch-and-bound run is not
-// byte-identical to the serial one — CI runs this as a correctness gate.
+// OptimizerOptions::capture_bip) on the factorized production engine,
+// appending one JSON object per instance to FILE (bench_results/
+// convention): rows, nnz, solve times, objectives and end-of-solve fill.
+// Two oracles check every answer. The dense tableau re-solves every LP
+// relaxation, and re-runs branch and bound on the instances small enough
+// for it to finish in seconds (kDenseBipMaxVars). Every factorized BIP
+// also captures a solve certificate that the exact-arithmetic checker
+// (analysis/certify.h) must verify, which is the oracle at scale. Exits
+// non-zero if an engine or oracle ends non-optimal, if their optima
+// diverge, if a certificate does not verify, if presolve changes a BIP
+// answer, or if a thread-pooled branch-and-bound run is not byte-identical
+// to the serial one — CI runs this as a correctness gate.
 //
 //   solver_micro --json FILE
 
@@ -29,10 +34,12 @@
 #include <vector>
 
 #include "advisor/advisor.h"
+#include "analysis/certify.h"
 #include "bench/bench_json.h"
 #include "rubis/model.h"
 #include "rubis/workload.h"
 #include "solver/bip.h"
+#include "solver/certificate.h"
 #include "solver/lp.h"
 #include "solver/solve_log.h"
 #include "util/rng.h"
@@ -118,8 +125,14 @@ void BM_BipKnapsack(benchmark::State& state) {
 BENCHMARK(BM_BipKnapsack)->Arg(20)->Arg(40)->Arg(80);
 
 // ===========================================================================
-// Sparse-vs-dense comparison mode (--json).
+// Engine/oracle comparison mode (--json).
 // ===========================================================================
+
+/// Instances with at most this many variables also replay branch and bound
+/// on the dense oracle, which finishes there in seconds (cover_bip160 and
+/// the single-window RUBiS BIPs). On the larger ones the dense replay took
+/// 18 s to 5 min per run; their certificates are the oracle instead.
+constexpr int kDenseBipMaxVars = 300;
 
 struct Instance {
   std::string name;
@@ -145,24 +158,27 @@ double TimeLpMs(const LpProblem& lp, LpEngine engine, LpResult* out) {
 /// Wall time of one branch-and-bound solve on `engine`, run to its end with
 /// no time limit: the status and objective labels are gated exactly
 /// against a committed baseline, so they must not depend on machine speed.
+/// `certificate`, when set, captures the solve's certificate (one extra
+/// cold root LP, included in the time).
 double TimeBipMs(const LpProblem& lp, const std::vector<int>& binaries,
                  LpEngine engine, BipResult* out,
-                 util::ThreadPool* threads = nullptr) {
+                 util::ThreadPool* threads = nullptr,
+                 SolveCertificate* certificate = nullptr) {
   BipOptions options;
   options.lp_engine = engine;
   options.threads = threads;
+  options.capture_certificate = certificate;
   Stopwatch watch;
   *out = SolveBip(lp, binaries, options);
   return watch.ElapsedSeconds() * 1000.0;
 }
 
-/// End-of-solve stored-entry count (tableau nonzeros, or LU+eta factor
-/// entries for the factorized engine) as SolveLog reports it — the fill
-/// measure behind the tentpole's cover_lp800 acceptance gate.
-uint64_t FillEndOf(const LpProblem& lp, LpEngine engine) {
+/// End-of-solve stored LU+eta factor entries of the factorized engine, as
+/// SolveLog reports them.
+uint64_t FactorFillEndOf(const LpProblem& lp) {
   SolveLog& log = SolveLog::Global();
   log.Enable();
-  lp.Solve({}, 0, 0.0, engine);
+  lp.Solve();
   const std::vector<LpSolveStats> records = log.LpRecords();
   log.Disable();
   return records.empty() ? 0 : records.back().fill_end;
@@ -260,6 +276,27 @@ Instance CaptureHorizonBip(const Workload& workload, int num_windows) {
   return inst;
 }
 
+/// How an engine's result compares with its oracle's: "agree", or why
+/// not. A solve that did not end optimal is a failure in its own right,
+/// never an agreement. `tol` bounds the objective difference.
+template <typename Result, typename Status>
+std::string OracleVerdict(const Result& engine, const Result& oracle,
+                          Status optimal, double tol) {
+  if (engine.status != optimal) return "engine-not-optimal";
+  if (oracle.status != optimal) return "oracle-not-optimal";
+  return std::abs(engine.objective - oracle.objective) > tol ? "diverged"
+                                                             : "agree";
+}
+
+/// "verified", or the first finding code of a certificate the exact
+/// checker rejects.
+std::string CertificateVerdict(const SolveCertificate& certificate) {
+  const CertificateReport report = CheckCertificate(certificate);
+  if (report.verified) return "verified";
+  return report.diagnostics.empty() ? "unverified"
+                                    : report.diagnostics.front().code;
+}
+
 int CompareMain(const std::string& json_path) {
   std::vector<Instance> instances;
   for (int n : {200, 400, 800}) {
@@ -307,74 +344,66 @@ int CompareMain(const std::string& json_path) {
   bench::BenchJsonWriter json;
   if (!json.Open(json_path, "solver_micro")) return 1;
 
-  std::printf("%-18s %7s %7s %9s | %10s %10s %10s %8s | %s\n", "instance",
-              "vars", "rows", "nnz", "fact", "sparse", "dense", "speedup",
-              "objectives");
-  bool diverged_any = false;
+  std::printf("%-18s %7s %7s %9s | %10s %10s | %-12s %-12s %-9s | %s\n",
+              "instance", "vars", "rows", "nnz", "fact", "dense", "lp oracle",
+              "bip oracle", "cert", "objectives");
+  bool failed_any = false;
   for (Instance& inst : instances) {
     const bool is_bip = !inst.binaries.empty();
-    LpResult fact_lp, sparse_lp, dense_lp;
+    LpResult fact_lp, dense_lp;
     const double fact_lp_ms =
         TimeLpMs(inst.lp, LpEngine::kFactorized, &fact_lp);
-    const double sparse_lp_ms = TimeLpMs(inst.lp, LpEngine::kSparse, &sparse_lp);
     const double dense_lp_ms = TimeLpMs(inst.lp, LpEngine::kDense, &dense_lp);
-    // The relaxation has one optimal value; the engine matrix must agree on
-    // it. The tableau pair shares a pivot path, so 1e-6 guards against
-    // logic divergence; the factorized engine follows its own
-    // floating-point path and is held to solver-tolerance agreement. This
-    // is the CI divergence gate.
-    const double lp_scale =
-        std::max({1.0, std::abs(sparse_lp.objective),
-                  std::abs(dense_lp.objective)});
-    bool diverged =
-        sparse_lp.status != dense_lp.status ||
-        fact_lp.status != sparse_lp.status ||
-        std::abs(sparse_lp.objective - dense_lp.objective) > 1e-6 * lp_scale ||
-        std::abs(fact_lp.objective - sparse_lp.objective) > 1e-7 * lp_scale;
+    // The relaxation has one optimal value; the two engines follow
+    // different floating-point paths, so they are held to agreement within
+    // the dense tableau's accuracy.
+    const double lp_scale = std::max(
+        {1.0, std::abs(fact_lp.objective), std::abs(dense_lp.objective)});
+    const std::string lp_oracle = OracleVerdict(
+        fact_lp, dense_lp, LpStatus::kOptimal, 1e-6 * lp_scale);
+    bool failed = lp_oracle != "agree";
+    const uint64_t fact_fill = FactorFillEndOf(inst.lp);
 
-    // End-of-solve fill per SolveLog: stored tableau entries vs stored
-    // factor entries. The tentpole's acceptance asks for >=5x less on
-    // cover_lp800.
-    const uint64_t sparse_fill = FillEndOf(inst.lp, LpEngine::kSparse);
-    const uint64_t fact_fill = FillEndOf(inst.lp, LpEngine::kFactorized);
-
-    double fact_bip_ms = 0.0, sparse_bip_ms = 0.0, dense_bip_ms = 0.0;
+    double fact_bip_ms = 0.0, dense_bip_ms = 0.0;
+    const bool dense_bip_run =
+        is_bip && inst.lp.num_variables() <= kDenseBipMaxVars;
+    std::string bip_oracle, certificate;
     bool presolve_diverged = false;
     bool thread_diverged = false;
-    BipResult fact_bip, sparse_bip, dense_bip;
+    BipResult fact_bip, dense_bip;
     if (is_bip) {
+      SolveCertificate cert;
       fact_bip_ms = TimeBipMs(inst.lp, inst.binaries, LpEngine::kFactorized,
-                              &fact_bip);
-      sparse_bip_ms =
-          TimeBipMs(inst.lp, inst.binaries, LpEngine::kSparse, &sparse_bip);
-      dense_bip_ms =
-          TimeBipMs(inst.lp, inst.binaries, LpEngine::kDense, &dense_bip);
-      // Branch-and-bound stops inside its MIP gap, so two engines may
+                              &fact_bip, nullptr, &cert);
+      certificate = CertificateVerdict(cert);
+      // Branch-and-bound stops inside its MIP gap, so the two engines may
       // legitimately return different incumbents within twice the gap;
-      // only a larger disagreement (with both solves proven) is real.
-      auto bip_pair_diverged = [](const BipResult& a, const BipResult& b) {
-        if (a.status != BipStatus::kOptimal || b.status != BipStatus::kOptimal) {
-          return false;
-        }
+      // only a larger disagreement is real.
+      if (dense_bip_run) {
+        dense_bip_ms =
+            TimeBipMs(inst.lp, inst.binaries, LpEngine::kDense, &dense_bip);
         const double gap_tol =
             2.0 * BipOptions().relative_gap *
-                std::max(std::abs(a.objective), std::abs(b.objective)) +
+                std::max(std::abs(fact_bip.objective),
+                         std::abs(dense_bip.objective)) +
             1e-9;
-        return std::abs(a.objective - b.objective) > gap_tol;
-      };
-      diverged = diverged || bip_pair_diverged(sparse_bip, dense_bip) ||
-                 bip_pair_diverged(fact_bip, sparse_bip);
+        bip_oracle = OracleVerdict(fact_bip, dense_bip, BipStatus::kOptimal,
+                                   gap_tol);
+      } else {
+        bip_oracle = fact_bip.status == BipStatus::kOptimal
+                         ? "above-cutoff"
+                         : "engine-not-optimal";
+      }
       // Presolve gate: the reductions are exact and cost-independent, so
       // branch-and-bound must select the same binary assignment with
       // presolve disabled — not merely the same objective.
       BipOptions no_presolve;
-      no_presolve.lp_engine = LpEngine::kSparse;
       no_presolve.presolve = false;
       BipResult raw = SolveBip(inst.lp, inst.binaries, no_presolve);
-      presolve_diverged = raw.status != sparse_bip.status;
-      if (!presolve_diverged && sparse_bip.status == BipStatus::kOptimal) {
+      presolve_diverged = raw.status != fact_bip.status;
+      if (!presolve_diverged && fact_bip.status == BipStatus::kOptimal) {
         for (int v : inst.binaries) {
-          if (std::lround(sparse_bip.x[static_cast<size_t>(v)]) !=
+          if (std::lround(fact_bip.x[static_cast<size_t>(v)]) !=
               std::lround(raw.x[static_cast<size_t>(v)])) {
             presolve_diverged = true;
             break;
@@ -396,60 +425,65 @@ int CompareMain(const std::string& json_path) {
           thread_diverged = true;
         }
       }
-      diverged = diverged || presolve_diverged || thread_diverged;
+      failed = failed ||
+               (bip_oracle != "agree" && bip_oracle != "above-cutoff") ||
+               certificate != "verified" || presolve_diverged ||
+               thread_diverged;
     }
-    diverged_any = diverged_any || diverged;
+    failed_any = failed_any || failed;
 
-    const double fact_ms = is_bip ? fact_bip_ms : fact_lp_ms;
-    const double sparse_ms = is_bip ? sparse_bip_ms : sparse_lp_ms;
-    const double dense_ms = is_bip ? dense_bip_ms : dense_lp_ms;
-    const double speedup = sparse_ms > 0.0 ? dense_ms / sparse_ms : 0.0;
-    // The headline gain: factorized over the previous (sparse tableau)
-    // default.
-    const double fact_speedup = fact_ms > 0.0 ? sparse_ms / fact_ms : 0.0;
-    std::printf(
-        "%-18s %7d %7d %9zu | %8.2fms %8.2fms %8.2fms %7.2fx | %.6g vs %.6g%s\n",
-        inst.name.c_str(), inst.lp.num_variables(), inst.lp.num_rows(),
-        inst.lp.num_nonzeros(), fact_ms, sparse_ms, dense_ms, fact_speedup,
-        is_bip ? fact_bip.objective : fact_lp.objective,
-        is_bip ? sparse_bip.objective : sparse_lp.objective,
-        diverged ? "  DIVERGED" : "");
+    // BIP rows show branch-and-bound times and objectives; the dense
+    // columns stay empty above the cutoff.
+    const bool show_dense = !is_bip || dense_bip_run;
+    char dense_ms[32] = "-";
+    char dense_objective[32] = "";
+    if (show_dense) {
+      std::snprintf(dense_ms, sizeof(dense_ms), "%.2fms",
+                    is_bip ? dense_bip_ms : dense_lp_ms);
+      std::snprintf(dense_objective, sizeof(dense_objective), " vs %.6g",
+                    is_bip ? dense_bip.objective : dense_lp.objective);
+    }
+    std::printf("%-18s %7d %7d %9zu | %8.2fms %10s | %-12s %-12s %-9s | "
+                "%.6g%s%s\n",
+                inst.name.c_str(), inst.lp.num_variables(), inst.lp.num_rows(),
+                inst.lp.num_nonzeros(), is_bip ? fact_bip_ms : fact_lp_ms,
+                dense_ms, lp_oracle.c_str(), is_bip ? bip_oracle.c_str() : "-",
+                is_bip ? certificate.c_str() : "-",
+                is_bip ? fact_bip.objective : fact_lp.objective,
+                dense_objective, failed ? "  FAILED" : "");
 
     bench::BenchJsonWriter::Record record = json.Instance(inst.name);
     record.Metric("vars", inst.lp.num_variables())
         .Metric("rows", inst.lp.num_rows())
         .Metric("nnz", static_cast<double>(inst.lp.num_nonzeros()))
         .Metric("fact_lp_ms", fact_lp_ms)
-        .Metric("sparse_lp_ms", sparse_lp_ms)
         .Metric("dense_lp_ms", dense_lp_ms)
         .Metric("fact_lp_objective", fact_lp.objective)
-        .Metric("sparse_lp_objective", sparse_lp.objective)
         .Metric("dense_lp_objective", dense_lp.objective)
-        .Metric("sparse_fill_end", static_cast<double>(sparse_fill))
-        .Metric("fact_fill_end", static_cast<double>(fact_fill));
+        .Metric("fact_fill_end", static_cast<double>(fact_fill))
+        .Label("kind", is_bip ? "bip" : "lp")
+        .Label("lp_oracle", lp_oracle);
     if (is_bip) {
       record.Metric("fact_bip_ms", fact_bip_ms)
-          .Metric("sparse_bip_ms", sparse_bip_ms)
-          .Metric("dense_bip_ms", dense_bip_ms)
           .Metric("fact_bip_objective", fact_bip.objective)
-          .Metric("sparse_bip_objective", sparse_bip.objective)
-          .Metric("dense_bip_objective", dense_bip.objective)
           .Label("fact_bip_status", BipStatusName(fact_bip.status))
-          .Label("sparse_bip_status", BipStatusName(sparse_bip.status))
-          .Label("dense_bip_status", BipStatusName(dense_bip.status))
+          .Label("bip_oracle", bip_oracle)
+          .Label("certificate", certificate)
           .Label("presolve_diverged", presolve_diverged)
           .Label("thread_diverged", thread_diverged);
+      if (dense_bip_run) {
+        record.Metric("dense_bip_ms", dense_bip_ms)
+            .Metric("dense_bip_objective", dense_bip.objective)
+            .Label("dense_bip_status", BipStatusName(dense_bip.status));
+      }
     }
-    record.Metric("speedup", speedup)
-        .Metric("fact_speedup", fact_speedup)
-        .Label("kind", is_bip ? "bip" : "lp")
-        .Label("diverged", diverged);
   }
   json.Close();
-  if (diverged_any) {
+  if (failed_any) {
     std::fprintf(stderr,
-                 "error: engine optima diverged (or a presolve/thread gate "
-                 "failed) on at least one instance\n");
+                 "error: an engine or oracle ended non-optimal, optima "
+                 "diverged, a certificate did not verify, or a presolve/"
+                 "thread gate failed on at least one instance\n");
     return 1;
   }
   return 0;

@@ -4,7 +4,6 @@
 #include <cmath>
 #include <cstdio>
 #include <iterator>
-#include <map>
 #include <memory>
 #include <set>
 #include <unordered_map>
@@ -89,81 +88,10 @@ Advisor::AdviseAllMixes(const Workload& workload,
   if (mixes.empty()) {
     return Status::InvalidArgument("workload declares no mixes");
   }
-  std::unique_ptr<util::ThreadPool> pool_threads =
-      MakeWorkerPool(options_.num_threads);
-
-  // Mixes that weight the same statement set see the same candidates and
-  // the same plan spaces (enumeration and planning are weight-independent),
-  // so they share one pool and one PlanSpaceCache. Mixes that drop
-  // statements to weight zero (e.g. a read-only mix of a read/write
-  // workload) land in their own group — reusing a union pool for them
-  // would change the enumerated candidates and hence the recommendation.
-  struct Group {
-    CandidatePool pool;
-    double enumeration_seconds = 0.0;
-    PlanSpaceCache cache;
-    std::set<std::string> names;  ///< statement names, for subset checks
-  };
-  std::vector<std::unique_ptr<Group>> groups;
-  std::map<std::string, size_t> group_of_signature;
-  static obs::Counter& reuse_counter =
-      obs::MetricsRegistry::Global().GetCounter("advisor.pool_reuse_hits");
-  static obs::Counter& cross_counter = obs::MetricsRegistry::Global()
-      .GetCounter("advisor.cross_group_seeds");
-
-  Enumerator enumerator(options_.enumerator);
   std::vector<std::pair<std::string, Recommendation>> out;
   out.reserve(mixes.size());
   for (const std::string& mix : mixes) {
-    const auto entries = workload.EntriesIn(mix);
-    if (entries.empty()) {
-      return Status::NotFound("workload has no mix '" + mix + "'");
-    }
-    std::string signature;
-    for (const auto& [entry, weight] : entries) {
-      signature += entry->name;
-      signature += '\n';
-    }
-    const auto [it, inserted] =
-        group_of_signature.emplace(std::move(signature), groups.size());
-    if (inserted) {
-      groups.push_back(std::make_unique<Group>());
-      Group& fresh = *groups.back();
-      for (const auto& [entry, weight] : entries) fresh.names.insert(entry->name);
-      obs::PhaseSpan enumeration_phase("advisor.enumeration", "advisor");
-      fresh.pool =
-          enumerator.EnumerateWorkload(workload, mix, pool_threads.get());
-      fresh.enumeration_seconds = enumeration_phase.StopSeconds();
-      // Cross-group sharing: when an earlier group's statement set contains
-      // this one's (Browsing ⊆ Bidding), its pool contains this pool and
-      // its plan spaces project exactly — seed the new cache instead of
-      // rebuilding. The projection is byte-exact, so recommendations stay
-      // identical to per-mix Recommend either way.
-      for (size_t g = 0; g + 1 < groups.size(); ++g) {
-        const Group& prior = *groups[g];
-        if (prior.names.size() < fresh.names.size()) continue;
-        if (!std::includes(prior.names.begin(), prior.names.end(),
-                           fresh.names.begin(), fresh.names.end())) {
-          continue;
-        }
-        if (SeedCacheFromSuperset(prior.cache, prior.pool, fresh.pool, entries,
-                                  &fresh.cache)) {
-          cross_counter.Increment();
-          break;
-        }
-      }
-    } else {
-      reuse_counter.Increment();
-    }
-    Group& group = *groups[it->second];
-    // The pool is copied into each Recommendation (it owns it; plans point
-    // into the copy), and the first mix of the group carries the
-    // enumeration time in its Fig. 13 breakdown.
-    NOSE_ASSIGN_OR_RETURN(
-        Recommendation rec,
-        RecommendImpl(workload, mix, group.pool,
-                      inserted ? group.enumeration_seconds : 0.0,
-                      pool_threads.get(), &group.cache));
+    NOSE_ASSIGN_OR_RETURN(Recommendation rec, Recommend(workload, mix));
     out.emplace_back(mix, std::move(rec));
   }
   return out;
@@ -397,8 +325,7 @@ StatusOr<Recommendation> Advisor::RecommendImpl(
   rec.timing.cost_calculation_seconds = opt.timing.cost_calculation_seconds;
   rec.timing.bip_construction_seconds = opt.timing.bip_construction_seconds;
   rec.timing.bip_solve_seconds = opt.timing.bip_solve_seconds;
-  // Enumeration ran before this span started (Recommend times it; the
-  // shared-pool path charges it to the group's first mix).
+  // Enumeration ran before this span started (Recommend times it).
   rec.timing.total_seconds = total.ElapsedSeconds() + enumeration_seconds;
   // "Other" is the remainder of the Fig. 13 decomposition. The measured
   // phases use their own stopwatches, so rounding can push the remainder a

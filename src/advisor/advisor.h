@@ -170,13 +170,9 @@ class Advisor {
                                      double deadline_seconds) const;
 
   /// Recommends a schema for every mix (all of the workload's mixes when
-  /// `mixes` is empty), paying for candidate enumeration and plan-space
-  /// construction once per group of mixes that share a statement set
-  /// instead of once per mix: mixes differing only in weights reuse the
-  /// interned pool and the cached plan spaces (weights enter later, as BIP
-  /// variable costs). Every recommendation is byte-identical to what
-  /// Recommend(workload, mix) returns — including at every thread count.
-  /// Results are in `mixes` order.
+  /// `mixes` is empty) by calling Recommend(workload, mix) once per mix, so
+  /// every recommendation is exactly the per-mix one. Results are in
+  /// `mixes` order; an unknown mix fails the whole call with NotFound.
   StatusOr<std::vector<std::pair<std::string, Recommendation>>> AdviseAllMixes(
       const Workload& workload, std::vector<std::string> mixes = {}) const;
 
@@ -211,7 +207,7 @@ class Advisor {
  private:
   /// Optimization + diagnostics + invariant audit for one mix against an
   /// already-enumerated pool (moved into the Recommendation first, so plans
-  /// can point into it). Shared by Recommend and AdviseAllMixes.
+  /// can point into it). Shared by Recommend and RecommendWithPool.
   /// `optimizer_deadline_seconds` > 0 bounds the optimizer stage
   /// (anytime advising); 0 means unbudgeted.
   StatusOr<Recommendation> RecommendImpl(
@@ -224,9 +220,8 @@ class Advisor {
 };
 
 /// Seeds `out` with exact projections of `super_cache`'s plan spaces onto
-/// `sub_pool`, for the statements in `entries` — the cross-group sharing
-/// path of AdviseAllMixes (Browsing ⊆ Bidding) and of incremental
-/// re-advising after a statement set shrinks. Every seeded space is
+/// `sub_pool`, for the statements in `entries` — incremental re-advising
+/// after a statement set shrinks (Browsing ⊆ Bidding). Every seeded space is
 /// byte-identical to what a fresh build over `sub_pool` would produce.
 /// Returns false without touching `out` when some sub-pool candidate is
 /// absent from `super_pool` (the pools do not nest, so projection would be

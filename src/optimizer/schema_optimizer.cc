@@ -219,7 +219,7 @@ StatusOr<OptimizationResult> SchemaOptimizer::Optimize(
       // returned optimum depends on the incumbent chain, so a foreign
       // incumbent could prune the (within-gap, slightly better) solution
       // the cold per-mix solve returns — breaking the byte-equality
-      // contract between AdviseAllMixes and Recommend.
+      // contract between RecommendWithPool and Recommend.
       if (!cache->last_root_basis.empty()) {
         solve_options.root_basis = &cache->last_root_basis;
       }

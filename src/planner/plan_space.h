@@ -115,8 +115,9 @@ class QueryPlanner {
   /// depends only on (query, state, candidate), and Build's BFS visits
   /// states and edges in a deterministic order this replay mirrors, so
   /// edge payloads are copied bit-for-bit instead of re-matched and
-  /// re-priced. This is how AdviseAllMixes shares plan spaces across
-  /// statement-set groups whose pools nest (e.g. Browsing ⊆ Bidding).
+  /// re-priced. This is how incremental re-advising reuses plan spaces
+  /// when the statement set shrinks and the pools nest (e.g. Browsing ⊆
+  /// Bidding).
   static PlanSpace RestrictToPool(const PlanSpace& super,
                                   const std::vector<CfId>& sub_to_super,
                                   size_t super_pool_size);

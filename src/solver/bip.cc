@@ -217,9 +217,8 @@ BipResult SolveBip(const LpProblem& problem, const std::vector<int>& binary_vars
   };
 
   // Per-node hot starts ride on the factorized engine's dual-simplex
-  // repair of the parent basis; the tableau engines would reject the
-  // (primal-infeasible under the branch fixing) basis anyway, so they
-  // stay cold and keep their baseline trajectories untouched.
+  // repair of the parent basis; the dense oracle never loads a basis, so
+  // it stays cold and keeps its trajectory independent.
   const bool child_hot_starts = options.lp_engine == LpEngine::kFactorized;
 
   // One selected-and-evaluated node. `solved` distinguishes the batch

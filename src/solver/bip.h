@@ -60,8 +60,8 @@ struct BipOptions {
   bool presolve = true;
   /// Optional starting basis for the ROOT relaxation, captured from a
   /// previous solve of the same (presolved) instance — the incremental
-  /// advisor's hot start. Sparse and factorized engines; an unusable basis
-  /// falls back to a cold start. (Child nodes additionally hot-start from
+  /// advisor's hot start. Factorized engine only; an unusable basis falls
+  /// back to a cold start. (Child nodes additionally hot-start from
   /// their parent's optimal basis under the factorized engine, which
   /// repairs the bound-change infeasibility with dual simplex pivots.)
   const LpBasis* root_basis = nullptr;

@@ -22,11 +22,11 @@ const char* LpStatusName(LpStatus status);
 /// of the basis with product-form updates and periodic refactorization —
 /// see solver/factorization.h) that prices directly from the original
 /// columns, so its fill tracks nnz(basis) instead of the tableau's B⁻¹A.
-/// kSparse keeps the explicit-tableau sparse core and kDense the original
-/// full-tableau implementation as correctness and benchmark baselines
-/// (solver_micro --json compares all three, and CI fails if their optima
-/// diverge).
-enum class LpEngine { kSparse, kDense, kFactorized };
+/// kDense is the original full-tableau implementation, kept as an
+/// independent oracle for small instances: tests and `solver_micro --json`
+/// check the factorized optima against it, and at scale the exact
+/// certificate checker (analysis/certify.h) takes its place.
+enum class LpEngine { kDense, kFactorized };
 
 const char* LpEngineName(LpEngine engine);
 
@@ -39,10 +39,9 @@ struct LpResult {
   /// Dual value per original constraint row, filled only when the caller
   /// asked for duals (Solve's `duals` out-parameter) and the solve ended
   /// kOptimal. The factorized engine recovers duals with one BTRAN against
-  /// the optimal basis, hot-started or not; the tableau engines read them
-  /// off reduced costs of identity columns and therefore only fill duals
-  /// for cold starts (a hot-started tableau carries no identity columns
-  /// for equality rows). Sign convention: y_i ≥ 0 certifies a binding ≥
+  /// the optimal basis, hot-started or not; the dense tableau reads them
+  /// off reduced costs of identity columns (it always starts cold). Sign
+  /// convention: y_i ≥ 0 certifies a binding ≥
   /// row, y_i ≤ 0 a binding ≤ row, free for =. The values are
   /// floating-point candidates — the certificate checker (analysis/
   /// certify.h) re-derives an exact safe bound from them rather than
@@ -62,7 +61,8 @@ struct LpResult {
 /// primal-infeasible load: branch-and-bound children differ from their
 /// parent only in bounds, which keeps the parent basis dual feasible, so a
 /// short bounded-variable dual-simplex run drives the violated basics back
-/// inside their bounds in a handful of pivots.
+/// inside their bounds in a handful of pivots. Only the factorized engine
+/// loads or exports bases; the dense tableau always starts cold.
 struct LpBasis {
   std::vector<uint8_t> status;
 
@@ -154,25 +154,24 @@ class LpProblem {
   /// bounds for this solve only (used by branch-and-bound nodes);
   /// entries are (var, lb, ub). `deadline_seconds` (0 = none) aborts an
   /// overlong solve with kIterationLimit so callers stay responsive.
-  /// `engine` selects the simplex core; all three return the same optima
-  /// (within tolerances — kSparse and kDense are bitwise-identical by
-  /// construction; kFactorized follows its own floating-point path and
-  /// agrees to the solver tolerances). kFactorized is the default and the
-  /// fastest on the optimizer's instances, widening with workload size
-  /// (solver_micro --json measures the gaps and gates CI on agreement).
+  /// `engine` selects the simplex core; both return the same optima to
+  /// the solver tolerances (they follow different floating-point paths).
+  /// kFactorized is the default and the fastest on the optimizer's
+  /// instances, widening with workload size; kDense is the small-instance
+  /// oracle (solver_micro --json checks the pair and gates CI on
+  /// agreement).
   ///
-  /// `start_basis` (sparse and factorized engines) hot-starts the solve
-  /// from a basis captured by an earlier solve of the same constraint
-  /// rows; on a successful load phase 1 is skipped, and the factorized
-  /// engine additionally repairs bound-change infeasibility with dual
-  /// simplex pivots. `final_basis` (sparse and factorized engines)
+  /// `start_basis` (factorized engine) hot-starts the solve from a basis
+  /// captured by an earlier solve of the same constraint rows; on a
+  /// successful load phase 1 is skipped and bound-change infeasibility is
+  /// repaired with dual simplex pivots. `final_basis` (factorized engine)
   /// receives the optimal basis of this solve, or is cleared when none is
   /// available (non-optimal exit, artificial still basic, or the dense
   /// engine).
   ///
   /// `duals`, when non-null, receives one multiplier per constraint row at
   /// the optimum (see LpResult::duals); cleared when the solve was not
-  /// cleanly optimal, or — tableau engines only — was hot-started.
+  /// cleanly optimal.
   LpResult Solve(
       const std::vector<std::tuple<int, double, double>>& bound_overrides = {},
       int max_iterations = 0, double deadline_seconds = 0.0,

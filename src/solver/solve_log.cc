@@ -970,7 +970,7 @@ std::string ExplainSolveLog(const SolveLogData& data) {
           100.0 * static_cast<double>(bland_iters) / iter_denom,
           static_cast<unsigned long long>(bound_flips));
   // Only the factorized engine reports basis telemetry; logs recorded
-  // before it existed (or with the tableau engines) render unchanged.
+  // before it existed (or with a tableau engine) render unchanged.
   if (refactorizations + ft_updates > 0) {
     Appendf(&out,
             "basis: %llu refactorizations, %llu forrest-tomlin updates "

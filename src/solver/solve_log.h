@@ -20,7 +20,10 @@ struct LpSolveStats {
   uint64_t bip_id = 0;  ///< enclosing B&B solve, 0 = standalone LP
   int node_id = -1;     ///< explored-node ordinal within bip_id, -1 = none
 
-  std::string engine;  ///< "factorized" | "sparse" | "dense"
+  /// LpEngineName of the engine: "factorized" | "dense". Logs recorded
+  /// before the sparse tableau engine was removed may also say "sparse";
+  /// `nose explain` still renders them.
+  std::string engine;
   std::string status;  ///< LpStatusName of the result
   int rows = 0;        ///< constraint rows of the original problem
   int cols = 0;        ///< structural variables
@@ -34,14 +37,17 @@ struct LpSolveStats {
   int bound_flips = 0;        ///< nonbasic bound-to-bound moves (no pivot)
   int max_degenerate_streak = 0;  ///< longest run of zero-step pivots
 
-  /// Stored tableau entries (CSR nonzeros, or the full width for densified
-  /// rows) before phase 1 and at termination — the fill-accumulation
-  /// signal behind the cover_lp800 slowdown. The factorized engine reports
-  /// its stored factor entries (LU + eta file) here instead, so the same
-  /// field compares fill across engines.
+  /// Stored entries before phase 1 and at termination — the
+  /// fill-accumulation signal. The factorized engine reports its stored
+  /// factor entries (LU + eta file), the dense tableau its full m·n cells
+  /// (and logs of the removed sparse tableau engine its CSR nonzeros), so
+  /// the same field compares fill across engines.
   uint64_t fill_start = 0;
   uint64_t fill_end = 0;
-  int dense_rows = 0;  ///< rows that upgraded from CSR to dense storage
+  /// Rows held in dense storage: every row for the dense tableau, 0 for
+  /// the factorized engine (the removed sparse tableau reported the rows
+  /// whose fill-in made it switch from CSR to dense).
+  int dense_rows = 0;
 
   /// Basis-maintenance telemetry — factorized engine only (zero elsewhere).
   /// `refactorizations` counts basis factorizations from scratch (the
@@ -62,7 +68,8 @@ struct LpSolveStats {
   double solve_ms = 0.0;  ///< wall clock; excluded from Fingerprint()
 
   /// (cumulative iteration, stored entries — tableau or factor) sampled
-  /// every kFillSampleStride iterations; sparse and factorized engines.
+  /// every kFillSampleStride iterations; factorized engine (and logs of the
+  /// removed sparse tableau engine).
   std::vector<std::pair<int, uint64_t>> fill_curve;
 
   /// Stored entries as a fraction of the full tableau (rows·tableau_cols).
@@ -136,7 +143,7 @@ class SolveLog {
   static constexpr size_t kDefaultLpCapacity = 16384;
   static constexpr size_t kDefaultNodeCapacity = 65536;
   static constexpr size_t kDefaultBipCapacity = 4096;
-  /// Sparse fill is sampled every this many simplex iterations.
+  /// Factor fill is sampled every this many simplex iterations.
   static constexpr int kFillSampleStride = 64;
 
   static SolveLog& Global();

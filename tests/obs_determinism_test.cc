@@ -95,9 +95,8 @@ TEST(ObsDeterminismTest, AdviseAllMixesCountersAreThreadCountInvariant) {
   base.optimizer.strategy = SolveStrategy::kBip;
   base.optimizer.bip.max_nodes = 20000;
   base.optimizer.bip.time_limit_seconds = 1e9;
-  // Bidding and 10x share a statement set, so the second of the pair rides
-  // the interned pool (advisor.pool_reuse_hits) — that reuse must also be
-  // invisible in the counter deltas.
+  // Browsing drops the write statements; bidding and 10x weight the same
+  // statement set differently.
   const std::vector<std::string> mixes = {
       rubis::kBrowsingMix, rubis::kBiddingMix, rubis::kWrite10xMix};
 
@@ -126,7 +125,6 @@ TEST(ObsDeterminismTest, AdviseAllMixesCountersAreThreadCountInvariant) {
   const auto values = reg.CounterValues();
   EXPECT_GT(values.at("optimizer.bip_rows_generated"), 0u);
   EXPECT_GT(values.at("solver.lp_nonzeros"), 0u);
-  EXPECT_GT(values.at("advisor.pool_reuse_hits"), 0u);
 }
 
 TEST(ObsDeterminismTest, CombinatorialCountersAreThreadCountInvariant) {

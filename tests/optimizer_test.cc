@@ -265,10 +265,15 @@ TEST(OptimizerStrategyTest, CombinatorialHandlesLargerRandomInstances) {
   ASSERT_TRUE(rw.ok());
   AdvisorOptions opts;
   opts.optimizer.strategy = SolveStrategy::kCombinatorial;
-  opts.optimizer.bip.time_limit_seconds = 20;
+  // The search does not prove this instance within any budget a test can
+  // afford, so it runs to the limit: keep the limit short, and check that
+  // the result is loudly marked unproven with a positive gap.
+  opts.optimizer.bip.time_limit_seconds = 2;
   Advisor advisor(opts);
   auto rec = advisor.Recommend(*rw->workload);
   ASSERT_TRUE(rec.ok()) << rec.status();
+  EXPECT_FALSE(rec->solve_proven);
+  EXPECT_GT(rec->anytime_gap, 0.0);
   EXPECT_GT(rec->schema.size(), 0u);
   EXPECT_GT(rec->objective, 0.0);
   EXPECT_LT(rec->timing.total_seconds, 60.0);

@@ -3,8 +3,8 @@
 // plans, objective, even the interned candidate ids — must be byte-for-byte
 // identical. These tests pin that contract on the real RUBiS workload and
 // on random workloads of both solver strategies' sizes, and extend it to
-// the shared-pool path: AdviseAllMixes must reproduce the per-mix
-// Recommend output exactly, at every thread count.
+// AdviseAllMixes: it must reproduce the per-mix Recommend output exactly,
+// at every thread count.
 
 #include <string>
 #include <tuple>
@@ -94,8 +94,8 @@ TEST(ParallelDeterminismTest, AdviseAllMixesMatchesPerMixAtEveryThreadCount) {
   ASSERT_TRUE(graph.ok()) << graph.status();
   auto workload = rubis::MakeWorkload(**graph);
   ASSERT_TRUE(workload.ok()) << workload.status();
-  // Browsing sits in its own statement-set group; Bidding and 10x share a
-  // group, exercising pool reuse and the cross-mix warm start.
+  // Browsing drops the write statements; Bidding and 10x weight the same
+  // statement set differently.
   const std::vector<std::string> mixes = {
       rubis::kBrowsingMix, rubis::kBiddingMix, rubis::kWrite10xMix};
   AdvisorOptions base;
@@ -105,7 +105,7 @@ TEST(ParallelDeterminismTest, AdviseAllMixesMatchesPerMixAtEveryThreadCount) {
   base.optimizer.bip.time_limit_seconds = 1e9;
   base.verify_invariants = true;
 
-  // Per-mix path at one thread: the reference the shared-pool path must
+  // Per-mix path at one thread: the reference AdviseAllMixes must
   // reproduce byte-for-byte.
   std::vector<Fingerprint> reference;
   {

@@ -1,5 +1,5 @@
 // Additional solver behaviors: warm starts, budgets, deadlines, gaps, and
-// the sparse-vs-dense-vs-brute-force equivalence property.
+// the dense-vs-factorized-vs-brute-force equivalence property.
 
 #include <gtest/gtest.h>
 
@@ -169,7 +169,7 @@ LpProblem MakeRandomBinaryProgram(Rng* rng) {
   return lp;
 }
 
-TEST(SparseDensePropertyTest, BitwiseMatchesBruteForceOnBothEngines) {
+TEST(EnginePropertyTest, MatchesBruteForceOnBothEngines) {
   int feasible_seen = 0;
   int infeasible_seen = 0;
   for (int seed = 0; seed < 60; ++seed) {
@@ -183,7 +183,7 @@ TEST(SparseDensePropertyTest, BitwiseMatchesBruteForceOnBothEngines) {
     ref.feasible ? ++feasible_seen : ++infeasible_seen;
 
     double engine_objective[2] = {0.0, 0.0};
-    for (LpEngine engine : {LpEngine::kSparse, LpEngine::kDense}) {
+    for (LpEngine engine : {LpEngine::kDense, LpEngine::kFactorized}) {
       BipOptions options;
       options.absolute_gap = 0.0;
       options.relative_gap = 0.0;
@@ -198,7 +198,7 @@ TEST(SparseDensePropertyTest, BitwiseMatchesBruteForceOnBothEngines) {
         EXPECT_EQ(got.status, BipStatus::kInfeasible)
             << "seed " << seed << " engine " << LpEngineName(engine);
       }
-      engine_objective[engine == LpEngine::kDense] = got.objective;
+      engine_objective[engine == LpEngine::kFactorized] = got.objective;
     }
     EXPECT_EQ(engine_objective[0], engine_objective[1]) << "seed " << seed;
   }

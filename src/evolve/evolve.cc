@@ -96,7 +96,7 @@ StatusOr<std::vector<ValueTuple>> EvolveController::ExecuteQuery(
   ++report_.statements;
   query_log_.push_back({statement, params});
   if (query_log_.size() > options_.query_log_capacity) {
-    query_log_.erase(query_log_.begin());
+    query_log_.pop_front();
   }
   return rows;
 }

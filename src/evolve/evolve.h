@@ -142,7 +142,7 @@ class EvolveController {
   const std::vector<LoggedStatement>& update_log() const {
     return update_log_;
   }
-  const std::vector<LoggedStatement>& query_log() const { return query_log_; }
+  const QueryLog& query_log() const { return query_log_; }
   const std::string& active_mix() const { return active_mix_; }
   bool planned_mode() const { return planned_mode_; }
   /// Planned mode: index of the horizon window currently deployed.
@@ -194,7 +194,7 @@ class EvolveController {
   MigrationRecord pending_record_;
 
   std::vector<LoggedStatement> update_log_;
-  std::vector<LoggedStatement> query_log_;
+  QueryLog query_log_;
   EvolveReport report_;
 };
 

@@ -73,7 +73,7 @@ Status MigrationExecutor::Prepare() {
 }
 
 Status MigrationExecutor::Step(const std::vector<LoggedStatement>& update_log,
-                               const std::vector<LoggedStatement>& query_log) {
+                               const QueryLog& query_log) {
   switch (phase_.load()) {
     case MigrationPhase::kBackfill:
       return BackfillStep();
@@ -213,8 +213,7 @@ Status MigrationExecutor::CatchUpStep(
   return Status::Ok();
 }
 
-StatusOr<bool> MigrationExecutor::TryVerify(
-    const std::vector<LoggedStatement>& query_log) {
+StatusOr<bool> MigrationExecutor::TryVerify(const QueryLog& query_log) {
   obs::Span span("evolve.verify", "evolve");
   const double before_ms = RecordStore::ThreadChargeMs();
   size_t compared = 0;
@@ -269,8 +268,7 @@ StatusOr<bool> MigrationExecutor::TryVerify(
   return clean;
 }
 
-Status MigrationExecutor::VerifyStep(
-    const std::vector<LoggedStatement>& query_log) {
+Status MigrationExecutor::VerifyStep(const QueryLog& query_log) {
   // A failed comparison in the single-threaded loop is never transient —
   // no foreground write can interleave — so a mismatch fails the
   // migration outright.

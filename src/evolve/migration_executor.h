@@ -3,6 +3,7 @@
 
 #include <atomic>
 #include <cstdint>
+#include <deque>
 #include <map>
 #include <mutex>
 #include <string>
@@ -24,6 +25,10 @@ struct LoggedStatement {
   std::string statement;
   PlanExecutor::Params params;
 };
+
+/// The bounded recent-query sample, oldest first. A deque, so trimming the
+/// oldest entry at capacity moves nothing.
+using QueryLog = std::deque<LoggedStatement>;
 
 enum class MigrationPhase {
   kBackfill,         ///< chunked loads of the new column families
@@ -99,7 +104,7 @@ class MigrationExecutor {
   /// sample. Returns an error (and enters kFailed) on verification
   /// mismatch or store failure.
   Status Step(const std::vector<LoggedStatement>& update_log,
-              const std::vector<LoggedStatement>& query_log);
+              const QueryLog& query_log);
 
   /// Applies one just-executed update to the new generation when the
   /// migration has passed catch-up (phases kDualWrite and later). Earlier
@@ -131,7 +136,7 @@ class MigrationExecutor {
   /// concurrent foreground writes a mismatch can be a transient between
   /// the old-generation write and its dual write, so the caller retries).
   /// Hard store errors fail the migration as usual.
-  StatusOr<bool> TryVerify(const std::vector<LoggedStatement>& query_log);
+  StatusOr<bool> TryVerify(const QueryLog& query_log);
 
   /// Marks verification complete; cutover may proceed.
   void MarkReadyForCutover() {
@@ -147,7 +152,7 @@ class MigrationExecutor {
  private:
   Status BackfillStep();
   Status CatchUpStep(const std::vector<LoggedStatement>& update_log);
-  Status VerifyStep(const std::vector<LoggedStatement>& query_log);
+  Status VerifyStep(const QueryLog& query_log);
   Status ReplayUpdate(const LoggedStatement& entry);
   /// Loads root rows [begin, end) of build CF `cf_index`, accounting rows
   /// and simulated charge into progress. Any thread.

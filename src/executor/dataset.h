@@ -36,6 +36,12 @@ class Dataset {
   const Value& FieldValue(const std::string& entity, size_t index,
                           const std::string& field) const;
 
+  /// All instances of `entity` (its row table), and the column of `field`
+  /// in each row: resolved once, they replace per-cell FieldValue lookups
+  /// in bulk scans.
+  const std::vector<ValueTuple>& Rows(const std::string& entity) const;
+  size_t FieldIndex(const std::string& entity, const std::string& field) const;
+
   /// Rows of the counterpart entity linked to instance `index` when
   /// traversing `step`.
   const std::vector<uint32_t>& Neighbors(const PathStep& step,

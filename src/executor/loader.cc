@@ -7,21 +7,26 @@ namespace nose {
 
 namespace {
 
-/// Positions of `fields` as (path-entity index, field name) pairs.
-struct FieldSlot {
+/// Where one column of a column family comes from: column `column` of the
+/// row table `table`, at the dataset row that path entity `entity_index`
+/// is bound to. Resolved once per chunk, so the per-record work indexes
+/// vectors instead of looking up entity and field names.
+struct ColumnSource {
   size_t entity_index;
-  std::string field;
+  const std::vector<ValueTuple>* table;
+  size_t column;
 };
 
-std::vector<FieldSlot> SlotsFor(const KeyPath& path,
-                                const std::vector<FieldRef>& fields) {
-  std::vector<FieldSlot> slots;
-  slots.reserve(fields.size());
+std::vector<ColumnSource> SourcesFor(const Dataset& data, const KeyPath& path,
+                                     const std::vector<FieldRef>& fields) {
+  std::vector<ColumnSource> sources;
+  sources.reserve(fields.size());
   for (const FieldRef& f : fields) {
-    slots.push_back(
-        {static_cast<size_t>(path.IndexOfEntity(f.entity)), f.field});
+    sources.push_back({static_cast<size_t>(path.IndexOfEntity(f.entity)),
+                       &data.Rows(f.entity),
+                       data.FieldIndex(f.entity, f.field)});
   }
-  return slots;
+  return sources;
 }
 
 }  // namespace
@@ -32,29 +37,32 @@ StatusOr<size_t> LoadColumnFamilyChunk(const Dataset& data,
                                        RecordStore* store, size_t root_begin,
                                        size_t root_end) {
   const KeyPath& path = cf.path();
-  const std::vector<FieldSlot> pk = SlotsFor(path, cf.partition_key());
-  const std::vector<FieldSlot> ck = SlotsFor(path, cf.clustering_key());
-  const std::vector<FieldSlot> vals = SlotsFor(path, cf.values());
+  const std::vector<ColumnSource> pk =
+      SourcesFor(data, path, cf.partition_key());
+  const std::vector<ColumnSource> ck =
+      SourcesFor(data, path, cf.clustering_key());
+  const std::vector<ColumnSource> vals = SourcesFor(data, path, cf.values());
 
   // DFS over path instances; rows[i] is the dataset row of path entity i.
   std::vector<size_t> rows(path.NumEntities());
+  ValueTuple partition;
+  ValueTuple clustering;
+  std::vector<std::optional<Value>> values;
+  auto cell = [&](const ColumnSource& source) -> const Value& {
+    return (*source.table)[rows[source.entity_index]][source.column];
+  };
   size_t written = 0;
   Status status;
   std::function<void(size_t)> walk = [&](size_t depth) {
     if (!status.ok()) return;
     if (depth == path.NumEntities()) {
-      auto tuple = [&](const std::vector<FieldSlot>& slots) {
-        ValueTuple out;
-        out.reserve(slots.size());
-        for (const FieldSlot& slot : slots) {
-          out.push_back(data.FieldValue(path.EntityAt(slot.entity_index),
-                                        rows[slot.entity_index], slot.field));
-        }
-        return out;
-      };
-      std::vector<std::optional<Value>> values;
-      for (const Value& v : tuple(vals)) values.emplace_back(v);
-      Status s = store->Put(name, tuple(pk), tuple(ck), values);
+      partition.clear();
+      clustering.clear();
+      values.clear();
+      for (const ColumnSource& s : pk) partition.push_back(cell(s));
+      for (const ColumnSource& s : ck) clustering.push_back(cell(s));
+      for (const ColumnSource& s : vals) values.emplace_back(cell(s));
+      Status s = store->Put(name, partition, clustering, values);
       if (!s.ok()) status = s;
       ++written;
       return;

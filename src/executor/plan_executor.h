@@ -19,11 +19,13 @@ namespace nose {
 ///
 /// The schema maps plan column families to store names; every column
 /// family used by an executed plan must be present in both.
+///
+/// Each call first resolves every field the plan touches to a dense slot
+/// and every literal or parameter to a constant; the per-row work then
+/// runs on flat slot rows (see DESIGN.md, "Plan execution").
 class PlanExecutor {
  public:
   using Params = std::map<std::string, Value>;
-  /// Partial row binding accumulated while walking a plan.
-  using Context = std::map<FieldRef, Value>;
 
   PlanExecutor(RecordStore* store, const Schema* schema)
       : store_(store), schema_(schema) {}
@@ -38,15 +40,6 @@ class PlanExecutor {
   Status ExecuteUpdate(const UpdatePlan& plan, const Params& params);
 
  private:
-  /// Core of query execution: walks the plan steps, threading contexts.
-  StatusOr<std::vector<Context>> ExecuteContexts(const QueryPlan& plan,
-                                                 const Params& params,
-                                                 const Context& base);
-
-  StatusOr<Value> BindPredicateValue(const Predicate& pred,
-                                     const Params& params,
-                                     const Context& ctx) const;
-
   RecordStore* store_;
   const Schema* schema_;
 };

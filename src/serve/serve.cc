@@ -228,7 +228,7 @@ Status ServeHarness::ExecuteTransaction(Stream& stream,
       std::lock_guard<std::mutex> lock(log_mu_);
       query_log_.push_back({stmt, params});
       if (query_log_.size() > scenario_.options.query_log_capacity) {
-        query_log_.erase(query_log_.begin());
+        query_log_.pop_front();
       }
     } else {
       auto it = gen->update_plans.find(stmt);
@@ -378,7 +378,7 @@ void ServeHarness::MigrationWorker(size_t phase) {
     bool clean = false;
     const size_t attempts = std::max<size_t>(1, options_.verify_attempts);
     for (size_t attempt = 0; attempt < attempts && !clean; ++attempt) {
-      std::vector<evolve::LoggedStatement> qlog;
+      evolve::QueryLog qlog;
       {
         std::lock_guard<std::mutex> lock(log_mu_);
         qlog = query_log_;
@@ -394,7 +394,7 @@ void ServeHarness::MigrationWorker(size_t phase) {
       // can race, so a mismatch here is a real migration bug.
       QuiesceDrivers();
       mig_record_.quiesced_verify = true;
-      std::vector<evolve::LoggedStatement> qlog;
+      evolve::QueryLog qlog;
       {
         std::lock_guard<std::mutex> lock(log_mu_);
         qlog = query_log_;
@@ -417,6 +417,8 @@ void ServeHarness::MigrationWorker(size_t phase) {
       old = active_;
       active_ = std::move(pending_);
     }
+    // Transactions starting from here run on the new generation.
+    bucket_.store(2, std::memory_order_relaxed);
     while (old.use_count() > 1) {
       std::this_thread::sleep_for(std::chrono::microseconds(50));
     }
@@ -436,7 +438,6 @@ void ServeHarness::MigrationWorker(size_t phase) {
         after_drop.rows_dropped - before_drop.rows_dropped;
     mig_record_.bytes_dropped =
         after_drop.bytes_dropped - before_drop.bytes_dropped;
-    bucket_.store(2, std::memory_order_relaxed);
     return Status::Ok();
   }();
 

@@ -237,13 +237,14 @@ class ServeHarness {
   /// mutex.
   std::mutex log_mu_;
   std::vector<evolve::LoggedStatement> update_log_;
-  std::vector<evolve::LoggedStatement> query_log_;
+  evolve::QueryLog query_log_;
   bool dual_routing_ = false;                        ///< guarded by log_mu_
   evolve::MigrationExecutor* live_migration_ = nullptr;  ///< guarded by log_mu_
   size_t migrating_from_serial_ = 0;                 ///< guarded by log_mu_
 
   /// Latency bucket of newly started transactions: 0 before any migration,
-  /// 1 while one is in flight, 2 after the last cutover.
+  /// 1 while one is in flight, 2 once the last cutover swapped the active
+  /// generation.
   std::atomic<int> bucket_{0};
 
   /// Quiesce barrier for the authoritative verification pass.

@@ -177,10 +177,18 @@ StatusOr<std::vector<RecordStore::Row>> RecordStore::Get(
   if (pit == stripe.partitions.end()) return rows;
   StoreCounters::Get().partitions_read.Increment();
 
-  // Iterate the ordered records of this partition from the prefix onward.
+  // Iterate the ordered records of this partition from the prefix onward;
+  // a lower range bound seeks straight to prefix + [bound].
   const std::map<ValueTuple, ValueTuple>& records = pit->second;
-  auto it = clustering_prefix.empty() ? records.begin()
-                                      : records.lower_bound(clustering_prefix);
+  auto it = records.begin();
+  if (range.has_value() &&
+      (range->op == PredicateOp::kGt || range->op == PredicateOp::kGe)) {
+    ValueTuple start = clustering_prefix;
+    start.push_back(range->value);
+    it = records.lower_bound(start);
+  } else if (!clustering_prefix.empty()) {
+    it = records.lower_bound(clustering_prefix);
+  }
   for (; it != records.end(); ++it) {
     const ValueTuple& key = it->first;
     // Stop when the prefix no longer matches (keys are sorted).
@@ -214,12 +222,13 @@ StatusOr<std::vector<RecordStore::Row>> RecordStore::Get(
       }
       // The prefix is fixed, so the scanned component is ordered: for
       // kLt/kLe nothing further can match once a row misses; for kGt/kGe
-      // the miss is below the bound and later rows may still match.
+      // the seek started at the bound, so only kGt's rows equal to the
+      // bound miss, and later rows are larger.
       if (!keep) {
         if (range->op == PredicateOp::kLt || range->op == PredicateOp::kLe) {
           break;  // ordered: nothing further can match
         }
-        continue;  // kGt/kGe: later rows are larger; this one just misses
+        continue;  // kGt: a row equal to the bound just misses
       }
     }
     rows.push_back(Row{ValueTuple(key.begin(), key.end()), it->second});
